@@ -77,12 +77,16 @@ let spec_of_edges ~colors ~vertices edge_list =
     spawn =
       (fun blk brow ~site ~dst ->
         let v = Vc_core.Block.get blk ~field:0 ~row:brow in
-        let ok =
-          Array.for_all
-            (fun u -> Vc_core.Block.get blk ~field:(u + 1) ~row:brow <> site)
-            nbrs.(v)
-        in
-        if not ok then false
+        let nv = nbrs.(v) in
+        let k = ref 0 in
+        while
+          !k < Array.length nv
+          && Vc_core.Block.get blk ~field:(nv.(!k) + 1) ~row:brow <> site
+        do
+          incr k
+        done;
+        (* stopped early: a colored neighbor already has color [site] *)
+        if !k < Array.length nv then false
         else begin
           let child = Vc_core.Block.reserve dst in
           Vc_core.Block.set dst ~field:0 ~row:child (v + 1);

@@ -80,10 +80,33 @@ let spec { size } =
   let schema = Vc_core.Schema.create ~lane_kind:Vc_simd.Lane.I8 fields in
   let root = Array.make (cells + 1) 0 in
   root.(0) <- 1;
-  let board_of blk row =
-    Array.init cells (fun i -> Vc_core.Block.get blk ~field:(i + 1) ~row)
+  (* The callbacks read the cell columns directly.  [line_fields] holds the
+     cell fields of every line back to back, [size] per line. *)
+  let line_fields = Array.concat (List.map (Array.map succ) lines) in
+  let nlines = List.length lines in
+  (* [winner ~lines] on the board in row [row]. *)
+  let winner_at blk row =
+    let x = ref false and o = ref false in
+    for l = 0 to nlines - 1 do
+      let first = l * size in
+      let v = Vc_core.Block.get blk ~field:line_fields.(first) ~row in
+      if v = 1 || v = 2 then begin
+        let k = ref 1 in
+        while !k < size && Vc_core.Block.get blk ~field:line_fields.(first + !k) ~row = v do
+          incr k
+        done;
+        if !k = size then if v = 1 then x := true else o := true
+      end
+    done;
+    if !x then 1 else if !o then 2 else 0
   in
-  let terminal board = winner ~lines board <> 0 || full board in
+  let full_at blk row =
+    let i = ref 1 in
+    while !i <= cells && Vc_core.Block.get blk ~field:!i ~row <> 0 do
+      incr i
+    done;
+    !i > cells
+  in
   {
     Vc_core.Spec.name = "minmax";
     description = Printf.sprintf "tic-tac-toe %dx%d outcome tally" size size;
@@ -96,11 +119,10 @@ let spec { size } =
         ("o_wins", Vc_lang.Reducer.Sum);
         ("draws", Vc_lang.Reducer.Sum);
       ];
-    is_base = (fun blk row -> terminal (board_of blk row));
+    is_base = (fun blk row -> winner_at blk row <> 0 || full_at blk row);
     exec_base =
       (fun reducers blk row ->
-        let board = board_of blk row in
-        match winner ~lines board with
+        match winner_at blk row with
         | 1 -> Vc_lang.Reducer.reduce reducers "x_wins" 1
         | 2 -> Vc_lang.Reducer.reduce reducers "o_wins" 1
         | _ -> Vc_lang.Reducer.reduce reducers "draws" 1);

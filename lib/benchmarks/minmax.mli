@@ -23,6 +23,21 @@ val paper : params
 
 type outcome = { x_wins : int; o_wins : int; draws : int }
 
+(** {1 Boards}
+
+    A board is an array of [size * size] cells, row-major: 0 empty, 1 X,
+    2 O. *)
+
+val lines : int -> int array list
+(** The cell indices of every winning line (rows, columns, both diagonals)
+    of a [size × size] board. *)
+
+val winner : lines:int array list -> int array -> int
+(** 1 if X holds a full line, else 2 if O does, else 0. *)
+
+val full : int array -> bool
+(** No empty cell left. *)
+
 val reference : params -> outcome
 (** Exhaustive tally by native recursion. *)
 

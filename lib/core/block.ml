@@ -40,7 +40,9 @@ let push t frame =
   if t.size >= t.capacity then
     invalid_arg (Printf.sprintf "Block.push: %s full (capacity %d)" t.label t.capacity);
   let row = t.size in
-  Array.iteri (fun f v -> t.data.(f).(row) <- v) frame;
+  for f = 0 to Array.length frame - 1 do
+    t.data.(f).(row) <- frame.(f)
+  done;
   t.size <- row + 1
 
 let reserve t =
@@ -83,4 +85,6 @@ let footprint_bytes t = t.capacity * Schema.num_fields t.schema * t.elem_bytes
 
 let copy_row ~src ~src_row ~dst =
   let row = reserve dst in
-  Array.iteri (fun f col -> dst.data.(f).(row) <- col.(src_row)) src.data
+  for f = 0 to Array.length src.data - 1 do
+    dst.data.(f).(row) <- src.data.(f).(src_row)
+  done

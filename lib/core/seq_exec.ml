@@ -16,15 +16,16 @@ let run ?(max_tasks = 200_000_000) ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t
   (* The software stack. *)
   let stack = ref (Block.create ~label:"stack" m.Measure.addr ~schema:spec.Spec.schema ~isa ~capacity:1024) in
   let depths = ref (Array.make 1024 0) in
-  let push_frame frame depth =
+  (* Append row [src_row] of [src] as a frame at [depth]. *)
+  let push_row ~src ~src_row depth =
     stack := Block.ensure_room !stack m.Measure.addr ~extra:1;
     if Block.size !stack >= Array.length !depths then begin
       let grown = Array.make (2 * Array.length !depths) 0 in
       Array.blit !depths 0 grown 0 (Array.length !depths);
       depths := grown
     end;
-    let row = Block.reserve !stack in
-    Array.iteri (fun f v -> Block.set !stack ~field:f ~row v) frame;
+    Block.copy_row ~src ~src_row ~dst:!stack;
+    let row = Block.size !stack - 1 in
     !depths.(row) <- depth;
     (* frame spill: one scalar store per field.  The SoA transformation
        turns exactly these into packed vector stores, so they count as
@@ -41,7 +42,12 @@ let run ?(max_tasks = 200_000_000) ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t
     Block.create ~label:"child" m.Measure.addr ~schema:spec.Spec.schema ~isa
       ~capacity:(max 1 spec.Spec.num_spawns)
   in
-  List.iter (fun frame -> push_frame frame 0) spec.Spec.roots;
+  List.iter
+    (fun frame ->
+      Block.clear scratch;
+      Block.push scratch frame;
+      push_row ~src:scratch ~src_row:0 0)
+    spec.Spec.roots;
   let tasks = ref 0 in
   while Block.size !stack > 0 do
     incr tasks;
@@ -82,10 +88,7 @@ let run ?(max_tasks = 200_000_000) ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t
         ignore (spec.Spec.spawn scratch 0 ~site ~dst:child_scratch : bool)
       done;
       for child = Block.size child_scratch - 1 downto 0 do
-        let frame =
-          Array.init nfields (fun f -> Block.get child_scratch ~field:f ~row:child)
-        in
-        push_frame frame (depth + 1)
+        push_row ~src:child_scratch ~src_row:child (depth + 1)
       done
     end
   done;

@@ -1,10 +1,6 @@
-type access = { addr : int; bytes : int; write : bool }
+type hook = int -> int -> bool -> unit
 
-type t = {
-  isa : Isa.t;
-  stats : Stats.t;
-  mutable on_access : (access -> unit) option;
-}
+type t = { isa : Isa.t; stats : Stats.t; mutable on_access : hook option }
 
 let create ?on_access isa = { isa; stats = Stats.create (); on_access }
 
@@ -16,7 +12,7 @@ let set_on_access t hook = t.on_access <- hook
 let report t addr bytes write =
   match t.on_access with
   | None -> ()
-  | Some f -> f { addr; bytes; write }
+  | Some f -> f addr bytes write
 
 let scalar_ops t n = t.stats.scalar_ops <- t.stats.scalar_ops + n
 
@@ -63,13 +59,17 @@ let gather t ~addrs ~lane_bytes =
   let lanes = Array.length addrs in
   vector_op t ~width:lanes ~active:lanes;
   t.stats.gathers <- t.stats.gathers + 1;
-  Array.iter (fun addr -> report t addr lane_bytes false) addrs
+  for i = 0 to lanes - 1 do
+    report t addrs.(i) lane_bytes false
+  done
 
 let scatter t ~addrs ~lane_bytes =
   let lanes = Array.length addrs in
   vector_op t ~width:lanes ~active:lanes;
   t.stats.scatters <- t.stats.scatters + 1;
-  Array.iter (fun addr -> report t addr lane_bytes true) addrs
+  for i = 0 to lanes - 1 do
+    report t addrs.(i) lane_bytes true
+  done
 
 let shuffle t ~width =
   if not t.isa.Isa.has_shuffle then

@@ -7,11 +7,14 @@
     engine).  The semantic computation itself runs as ordinary OCaml; the
     VM is the measurement plane (see DESIGN.md §2). *)
 
-type access = { addr : int; bytes : int; write : bool }
-
 type t
 
-val create : ?on_access:(access -> unit) -> Isa.t -> t
+type hook = int -> int -> bool -> unit
+(** [hook addr bytes write] receives one memory access: its modeled start
+    address, its size in bytes, and whether it is a store.  Called on
+    every load and store, so it must not allocate on its fast path. *)
+
+val create : ?on_access:hook -> Isa.t -> t
 
 val isa : t -> Isa.t
 val stats : t -> Stats.t
@@ -21,7 +24,7 @@ val snapshot : t -> Stats.t
     {!Stats.diff} to attribute instructions to a region (the telemetry
     layer does this per block level). *)
 
-val set_on_access : t -> (access -> unit) option -> unit
+val set_on_access : t -> hook option -> unit
 
 (** {1 Compute instructions} *)
 

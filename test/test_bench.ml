@@ -255,6 +255,66 @@ let test_minmax_known_tallies () =
 let test_minmax_value_is_draw () =
   check_int "3x3 is a draw" 0 (Minmax.minimax_value Minmax.default)
 
+(* Every position reachable in play from the empty 3x3 board, expanding
+   only non-terminal ones; maps each board to the player to move. *)
+let reachable_boards () =
+  let lines = Minmax.lines 3 in
+  let seen = Hashtbl.create 8192 in
+  let rec go board player =
+    if not (Hashtbl.mem seen board) then begin
+      Hashtbl.add seen (Array.copy board) player;
+      if Minmax.winner ~lines board = 0 && not (Minmax.full board) then
+        for i = 0 to 8 do
+          if board.(i) = 0 then begin
+            board.(i) <- player;
+            go board (3 - player);
+            board.(i) <- 0
+          end
+        done
+    end
+  in
+  go (Array.make 9 0) 1;
+  seen
+
+(* The spec's callbacks read the block's cell columns directly; they must
+   decide exactly what [winner]/[full] decide on the board. *)
+let test_minmax_callbacks_match_boards () =
+  let lines = Minmax.lines 3 in
+  let spec = Minmax.spec Minmax.default in
+  let boards = reachable_boards () in
+  check_int "reachable positions" 5478 (Hashtbl.length boards);
+  let blk =
+    Vc_core.Block.create (Vc_core.Addr.create ()) ~schema:spec.Vc_core.Spec.schema
+      ~isa:Vc_simd.Isa.sse42 ~capacity:1
+  in
+  Hashtbl.iter
+    (fun board player ->
+      Vc_core.Block.clear blk;
+      Vc_core.Block.push blk (Array.append [| player |] board);
+      let w = Minmax.winner ~lines board in
+      let terminal = w <> 0 || Minmax.full board in
+      check_bool "is_base" terminal (spec.Vc_core.Spec.is_base blk 0);
+      if terminal then begin
+        let reducers = Vc_core.Spec.make_reducers spec in
+        spec.Vc_core.Spec.exec_base reducers blk 0;
+        let outcome = match w with 1 -> "x_wins" | 2 -> "o_wins" | _ -> "draws" in
+        List.iter
+          (fun (name, v) -> check_int name (if name = outcome then 1 else 0) v)
+          (Vc_lang.Reducer.values reducers)
+      end)
+    boards
+
+(* The sequential executor's per-task path does not allocate (only the
+   run's fixed set-up does): guards the cost model's hot path (VM hook,
+   cache walk, frame copies, callbacks) against allocation creeping back. *)
+let test_minmax_seq_exec_allocation () =
+  let spec = Minmax.spec Minmax.default in
+  let before = Gc.minor_words () in
+  let r = Vc_core.Seq_exec.run ~spec ~machine:e5 () in
+  let per_task = (Gc.minor_words () -. before) /. float_of_int r.Vc_core.Report.tasks in
+  if per_task > 8.0 then
+    Alcotest.failf "Seq_exec minmax: %.1f minor words per task (bound 8)" per_task
+
 let test_minmax_spec_runs () =
   let expected = Minmax.reference { Minmax.size = 3 } in
   let got = engine_reducers (Minmax.spec { Minmax.size = 3 }) in
@@ -358,6 +418,8 @@ let () =
           Alcotest.test_case "known tallies" `Quick test_minmax_known_tallies;
           Alcotest.test_case "minimax value" `Quick test_minmax_value_is_draw;
           Alcotest.test_case "spec" `Quick test_minmax_spec_runs;
+          Alcotest.test_case "callbacks = winner/full" `Quick test_minmax_callbacks_match_boards;
+          Alcotest.test_case "seq_exec allocation" `Quick test_minmax_seq_exec_allocation;
         ] );
       ( "registry",
         [

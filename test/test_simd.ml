@@ -417,11 +417,13 @@ let test_vm_illegal_ops () =
 
 let test_vm_memory_hook () =
   let log = ref [] in
-  let vm = Vm.create ~on_access:(fun a -> log := a :: !log) Isa.sse42 in
+  let vm =
+    Vm.create ~on_access:(fun addr bytes write -> log := (addr, bytes, write) :: !log) Isa.sse42
+  in
   Vm.vector_load vm ~addr:128 ~lanes:16 ~lane_bytes:1;
   Vm.scalar_store vm ~addr:4096 ~bytes:4;
   (match !log with
-  | [ { Vm.addr = 4096; bytes = 4; write = true }; { Vm.addr = 128; bytes = 16; write = false } ] -> ()
+  | [ (4096, 4, true); (128, 16, false) ] -> ()
   | _ -> Alcotest.fail "unexpected access log");
   check_int "loads" 1 (Vm.stats vm).Stats.vector_loads;
   check_int "stores" 1 (Vm.stats vm).Stats.scalar_stores
@@ -439,7 +441,7 @@ let test_vm_gather_scatter_costs () =
 let test_vm_access_hook_swap () =
   let vm = Vm.create Isa.sse42 in
   let hits = ref 0 in
-  Vm.set_on_access vm (Some (fun _ -> incr hits));
+  Vm.set_on_access vm (Some (fun _ _ _ -> incr hits));
   Vm.scalar_load vm ~addr:0 ~bytes:4;
   Vm.set_on_access vm None;
   Vm.scalar_load vm ~addr:0 ~bytes:4;
