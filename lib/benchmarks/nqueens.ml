@@ -34,14 +34,16 @@ let spec { n } =
   let root = Array.make (n + 1) (-1) in
   root.(0) <- 0;
   let attacks blk brow row col =
-    (* does any queen in rows 0..row-1 attack (row, col)? *)
-    let rec go r =
-      if r >= row then false
-      else
-        let qc = Vc_core.Block.get blk ~field:(r + 1) ~row:brow in
-        if qc = col || abs (qc - col) = row - r then true else go (r + 1)
-    in
-    go 0
+    (* does any queen in rows 0..row-1 attack (row, col)?  A loop, not a
+       local recursive function: this runs on every spawn-site probe, and
+       a closure over its arguments would be allocated each time. *)
+    let r = ref 0 and hit = ref false in
+    while (not !hit) && !r < row do
+      let qc = Vc_core.Block.get blk ~field:(!r + 1) ~row:brow in
+      hit := qc = col || abs (qc - col) = row - !r;
+      incr r
+    done;
+    !hit
   in
   {
     Vc_core.Spec.name = "nqueens";

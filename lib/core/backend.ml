@@ -292,11 +292,12 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
      the engine's quarantine). *)
   let trip_guard ~depth ~size =
     match
-      Fault.trip faults Fault.Alloc ~phase:Vc_error.Execute
-        ~hint:Vc_error.Fallback_scalar
-        ~detail:
-          (Printf.sprintf "%s: level buffer at depth %d (%d frames)" label depth
-             size)
+      if Fault.armed_at faults Fault.Alloc then
+        Fault.trip faults Fault.Alloc ~phase:Vc_error.Execute
+          ~hint:Vc_error.Fallback_scalar
+          ~detail:
+            (Printf.sprintf "%s: level buffer at depth %d (%d frames)" label depth
+               size)
     with
     | () -> None
     | exception Vc_error.Error err

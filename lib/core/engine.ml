@@ -111,9 +111,10 @@ let note_fault ctx (e : Vc_error.t) =
        })
 
 let pool_block ctx ~depth ~slot ~room =
-  Fault.trip ctx.faults Fault.Alloc ~phase:Vc_error.Expand
-    ~hint:Vc_error.Fallback_scalar
-    ~detail:(Printf.sprintf "block d%d-s%d (room %d)" depth slot room);
+  if Fault.armed_at ctx.faults Fault.Alloc then
+    Fault.trip ctx.faults Fault.Alloc ~phase:Vc_error.Expand
+      ~hint:Vc_error.Fallback_scalar
+      ~detail:(Printf.sprintf "block d%d-s%d (room %d)" depth slot room);
   let key = (depth, slot) in
   let cell =
     match Hashtbl.find_opt ctx.pool key with
@@ -314,9 +315,10 @@ let process_level ctx blk ~depth ~phase =
      "compact" *)
   let partition () =
     with_span ctx frame_compact @@ fun () ->
-    Fault.trip ctx.faults Fault.Compact ~phase:Vc_error.Execute
-      ~hint:Vc_error.Fallback_scalar
-      ~detail:(Printf.sprintf "partition of %d frames at depth %d" n depth);
+    if Fault.armed_at ctx.faults Fault.Compact then
+      Fault.trip ctx.faults Fault.Compact ~phase:Vc_error.Execute
+        ~hint:Vc_error.Fallback_scalar
+        ~detail:(Printf.sprintf "partition of %d frames at depth %d" n depth);
     Vc_simd.Compact.partition ~vm ~engine:ctx.compact ~width:ctx.width ~n
       ~pred:(fun row -> ctx.spec.Spec.is_base blk row)
   in

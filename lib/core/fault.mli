@@ -60,7 +60,9 @@ val trip :
   detail:string ->
   unit
 (** Count one call at [site]; raise a typed fault on the calls the plan
-    selects.  No-op when the plan is disarmed (for [site]). *)
+    selects.  No-op when the plan is disarmed (for [site]).  A caller
+    that formats [detail] guards the call with {!armed_at}, so an unarmed
+    plan formats nothing: the engine trips once per block level. *)
 
 val fired : plan -> (site * int) list
 (** Faults actually injected so far, per armed site that fired. *)

@@ -10,7 +10,8 @@ let create (machine : Vc_mem.Machine.t) =
   let hier = machine.Vc_mem.Machine.hierarchy () in
   let vm =
     Vc_simd.Vm.create
-      ~on_access:(fun addr bytes _write -> Vc_mem.Hierarchy.access hier ~addr ~bytes)
+      ~on_access:(fun addr stride count bytes _write ->
+        Vc_mem.Hierarchy.access_strided hier ~addr ~stride ~count ~bytes)
       machine.Vc_mem.Machine.isa
   in
   { vm; hier; addr = Addr.create (); metrics = Metrics.create (); machine }

@@ -43,9 +43,10 @@ let aos_to_soa ?telemetry ?(faults = Fault.none) ?(recover = true) ~vm ~addr
      are already in the block (pure data movement), so a faulted gather
      path degrades to an element-wise scalar copy with identical result. *)
   (match
-     Fault.trip faults Fault.Convert ~phase:Vc_error.Setup
-       ~hint:Vc_error.Fallback_scalar
-       ~detail:(Printf.sprintf "aos->soa of %d frames x %d fields" n nfields)
+     if Fault.armed_at faults Fault.Convert then
+       Fault.trip faults Fault.Convert ~phase:Vc_error.Setup
+         ~hint:Vc_error.Fallback_scalar
+         ~detail:(Printf.sprintf "aos->soa of %d frames x %d fields" n nfields)
    with
   | () ->
       for f = 0 to nfields - 1 do
@@ -84,9 +85,10 @@ let soa_to_aos ?telemetry ?(faults = Fault.none) ?(recover = true) ~vm ~aos_base
         Array.init nfields (fun f -> Block.get blk ~field:f ~row))
   in
   (match
-     Fault.trip faults Fault.Convert ~phase:Vc_error.Execute
-       ~hint:Vc_error.Fallback_scalar
-       ~detail:(Printf.sprintf "soa->aos of %d frames x %d fields" n nfields)
+     if Fault.armed_at faults Fault.Convert then
+       Fault.trip faults Fault.Convert ~phase:Vc_error.Execute
+         ~hint:Vc_error.Fallback_scalar
+         ~detail:(Printf.sprintf "soa->aos of %d frames x %d fields" n nfields)
    with
   | () ->
       for f = 0 to nfields - 1 do

@@ -30,12 +30,16 @@ let rec walk penalty line = function
         walk penalty line outer
       end
 
-let access t ~addr ~bytes =
-  let first = addr asr t.line_shift in
-  let last = (addr + max bytes 1 - 1) asr t.line_shift in
-  for line = first to last do
-    walk t.penalty line t.levels
+let access_strided t ~addr ~stride ~count ~bytes =
+  let span = max bytes 1 - 1 in
+  for i = 0 to count - 1 do
+    let start = addr + (i * stride) in
+    for line = start asr t.line_shift to (start + span) asr t.line_shift do
+      walk t.penalty line t.levels
+    done
   done
+
+let access t ~addr ~bytes = access_strided t ~addr ~stride:0 ~count:1 ~bytes
 
 let penalty_cycles t = t.penalty.(0)
 

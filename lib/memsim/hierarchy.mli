@@ -20,10 +20,16 @@ val create : level list -> t
 
 val levels : t -> level list
 
+val access_strided : t -> addr:int -> stride:int -> count:int -> bytes:int -> unit
+(** Route [count] accesses of [bytes] bytes each, at [addr + i * stride]
+    for [i = 0 .. count - 1] in that order, through the hierarchy: the
+    same lookups, in the same order, as [count] calls of {!access}.  Every
+    line an access touches is looked up in L1; only L1-missing lines
+    proceed outward.  Addresses must be non-negative; they are not
+    checked. *)
+
 val access : t -> addr:int -> bytes:int -> unit
-(** Route one access (of any byte span) through the hierarchy.  Every line
-    touched is looked up in L1; only L1-missing lines proceed outward.
-    [addr] must be non-negative; it is not checked. *)
+(** One access of any byte span: [access_strided] with [count = 1]. *)
 
 val penalty_cycles : t -> float
 (** Total accumulated miss-penalty cycles. *)

@@ -1,4 +1,4 @@
-type hook = int -> int -> bool -> unit
+type hook = int -> int -> int -> int -> bool -> unit
 
 type t = { isa : Isa.t; stats : Stats.t; mutable on_access : hook option }
 
@@ -9,10 +9,10 @@ let stats t = t.stats
 let snapshot t = Stats.copy t.stats
 let set_on_access t hook = t.on_access <- hook
 
-let report t addr bytes write =
+let report t addr stride count bytes write =
   match t.on_access with
   | None -> ()
-  | Some f -> f addr bytes write
+  | Some f -> f addr stride count bytes write
 
 let scalar_ops t n = t.stats.scalar_ops <- t.stats.scalar_ops + n
 
@@ -35,32 +35,32 @@ let batch t ?(classify = false) ~width ~n ~insns_per_task () =
     end
   end
 
-let scalar_load t ~addr ~bytes =
-  t.stats.scalar_ops <- t.stats.scalar_ops + 1;
-  t.stats.scalar_loads <- t.stats.scalar_loads + 1;
-  report t addr bytes false
+let scalar_load t ~addr ~stride ~count ~bytes =
+  t.stats.scalar_ops <- t.stats.scalar_ops + count;
+  t.stats.scalar_loads <- t.stats.scalar_loads + count;
+  report t addr stride count bytes false
 
-let scalar_store t ~addr ~bytes =
-  t.stats.scalar_ops <- t.stats.scalar_ops + 1;
-  t.stats.scalar_stores <- t.stats.scalar_stores + 1;
-  report t addr bytes true
+let scalar_store t ~addr ~stride ~count ~bytes =
+  t.stats.scalar_ops <- t.stats.scalar_ops + count;
+  t.stats.scalar_stores <- t.stats.scalar_stores + count;
+  report t addr stride count bytes true
 
 let vector_load t ~addr ~lanes ~lane_bytes =
   vector_op t ~width:lanes ~active:lanes;
   t.stats.vector_loads <- t.stats.vector_loads + 1;
-  report t addr (lanes * lane_bytes) false
+  report t addr 0 1 (lanes * lane_bytes) false
 
 let vector_store t ~addr ~lanes ~lane_bytes =
   vector_op t ~width:lanes ~active:lanes;
   t.stats.vector_stores <- t.stats.vector_stores + 1;
-  report t addr (lanes * lane_bytes) true
+  report t addr 0 1 (lanes * lane_bytes) true
 
 let gather t ~addrs ~lane_bytes =
   let lanes = Array.length addrs in
   vector_op t ~width:lanes ~active:lanes;
   t.stats.gathers <- t.stats.gathers + 1;
   for i = 0 to lanes - 1 do
-    report t addrs.(i) lane_bytes false
+    report t addrs.(i) 0 1 lane_bytes false
   done
 
 let scatter t ~addrs ~lane_bytes =
@@ -68,7 +68,7 @@ let scatter t ~addrs ~lane_bytes =
   vector_op t ~width:lanes ~active:lanes;
   t.stats.scatters <- t.stats.scatters + 1;
   for i = 0 to lanes - 1 do
-    report t addrs.(i) lane_bytes true
+    report t addrs.(i) 0 1 lane_bytes true
   done
 
 let shuffle t ~width =
@@ -84,11 +84,11 @@ let masked_scatter t ~width ~active ~lane_bytes ~addr =
       (Printf.sprintf "Vm.masked_scatter: ISA %s has no masked scatter" t.isa.Isa.name);
   vector_op t ~width ~active;
   t.stats.scatters <- t.stats.scatters + 1;
-  report t addr (active * lane_bytes) true
+  report t addr 0 1 (active * lane_bytes) true
 
 let table_lookup t ~addr ~bytes =
   t.stats.table_lookups <- t.stats.table_lookups + 1;
-  scalar_load t ~addr ~bytes
+  scalar_load t ~addr ~stride:0 ~count:1 ~bytes
 
 let issue_cycles t =
   let s = t.stats in

@@ -9,10 +9,14 @@
 
 type t
 
-type hook = int -> int -> bool -> unit
-(** [hook addr bytes write] receives one memory access: its modeled start
-    address, its size in bytes, and whether it is a store.  Called on
-    every load and store, so it must not allocate on its fast path. *)
+type hook = int -> int -> int -> int -> bool -> unit
+(** [hook addr stride count bytes write] receives [count] memory accesses
+    of [bytes] bytes each, at modeled start addresses [addr],
+    [addr + stride], ..., [addr + (count - 1) * stride], in that order;
+    [write] tells whether they are stores.  A strided scalar load or
+    store (one field per SoA column of a frame) is one call; every other
+    access reports with [count = 1].  Called on every load and store, so
+    it must not allocate on its fast path. *)
 
 val create : ?on_access:hook -> Isa.t -> t
 
@@ -50,8 +54,14 @@ val batch : t -> ?classify:bool -> width:int -> n:int -> insns_per_task:int -> u
     scalar/vector op counters) and are reported to the access hook with
     their modeled address and size. *)
 
-val scalar_load : t -> addr:int -> bytes:int -> unit
-val scalar_store : t -> addr:int -> bytes:int -> unit
+val scalar_load : t -> addr:int -> stride:int -> count:int -> bytes:int -> unit
+(** [count] scalar loads of [bytes] bytes at [addr + i * stride] for
+    [i = 0 .. count - 1]: [count] scalar instructions and loads, reported
+    to the hook in one call.  With [stride] a block's column span, this
+    moves one SoA frame field by field. *)
+
+val scalar_store : t -> addr:int -> stride:int -> count:int -> bytes:int -> unit
+(** The store counterpart of {!scalar_load}. *)
 
 val vector_load : t -> addr:int -> lanes:int -> lane_bytes:int -> unit
 (** Packed (contiguous) vector load of [lanes * lane_bytes] bytes. *)

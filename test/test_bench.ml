@@ -17,6 +17,12 @@ let engine_reducers spec =
   in
   r.Vc_core.Report.reducers
 
+(* Minor words per task of [Engine.run], measured around the call. *)
+let engine_words_per_task ~spec ~strategy =
+  let before = Gc.minor_words () in
+  let r = Vc_core.Engine.run ~spec ~machine:e5 ~strategy () in
+  (Gc.minor_words () -. before) /. float_of_int r.Vc_core.Report.tasks
+
 (* ------------------------------------------------------------------ *)
 (* rng                                                                 *)
 
@@ -168,6 +174,16 @@ let test_nqueens_spec_runs () =
     [ ("solutions", 40) ]
     (engine_reducers (Nqueens.spec { Nqueens.n = 7 }))
 
+(* The spawn-site probe ([attacks]) runs n times per task; it must not
+   allocate a closure per call. *)
+let test_nqueens_engine_allocation () =
+  let per_task =
+    engine_words_per_task ~spec:(Nqueens.spec { Nqueens.n = 10 })
+      ~strategy:(Vc_core.Policy.Hybrid { max_block = 4096; reexpand = true })
+  in
+  if per_task > 20.0 then
+    Alcotest.failf "Engine nqueens: %.1f minor words per task (bound 20)" per_task
+
 (* ------------------------------------------------------------------ *)
 (* graphcol                                                            *)
 
@@ -315,6 +331,17 @@ let test_minmax_seq_exec_allocation () =
   if per_task > 8.0 then
     Alcotest.failf "Seq_exec minmax: %.1f minor words per task (bound 8)" per_task
 
+(* At block 4 the engine runs minmax as many tiny levels; fault sites
+   that formatted their detail strings on every level, armed or not,
+   cost ~240 minor words per task there. *)
+let test_minmax_engine_small_block_allocation () =
+  let per_task =
+    engine_words_per_task ~spec:(Minmax.spec Minmax.default)
+      ~strategy:(Vc_core.Policy.Hybrid { max_block = 4; reexpand = false })
+  in
+  if per_task > 150.0 then
+    Alcotest.failf "Engine minmax, block 4: %.1f minor words per task (bound 150)" per_task
+
 let test_minmax_spec_runs () =
   let expected = Minmax.reference { Minmax.size = 3 } in
   let got = engine_reducers (Minmax.spec { Minmax.size = 3 }) in
@@ -400,6 +427,7 @@ let () =
         [
           Alcotest.test_case "known solutions" `Quick test_nqueens_reference;
           Alcotest.test_case "spec" `Quick test_nqueens_spec_runs;
+          Alcotest.test_case "engine allocation" `Quick test_nqueens_engine_allocation;
         ] );
       ( "graphcol",
         [
@@ -420,6 +448,8 @@ let () =
           Alcotest.test_case "spec" `Quick test_minmax_spec_runs;
           Alcotest.test_case "callbacks = winner/full" `Quick test_minmax_callbacks_match_boards;
           Alcotest.test_case "seq_exec allocation" `Quick test_minmax_seq_exec_allocation;
+          Alcotest.test_case "engine allocation at block 4" `Quick
+            test_minmax_engine_small_block_allocation;
         ] );
       ( "registry",
         [

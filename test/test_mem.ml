@@ -271,6 +271,79 @@ let hierarchy_matches_stamp_lru =
                ])
         ops)
 
+(* A strided access is the loop of its single accesses: the same counts,
+   penalties and recency state as [count] calls of [Hierarchy.access], and
+   as the stamp-based reference model.  Strides cover 0, sub-line,
+   line-crossing and set-aliasing spans; sizes cover multi-line accesses. *)
+let strided_matches_singles =
+  let gen =
+    QCheck.Gen.(
+      int_range 4 6 >>= fun line_log ->
+      let line_bytes = 1 lsl line_log in
+      pair (gen_config ~line_bytes) (gen_config ~line_bytes) >>= fun (c1, c2) ->
+      let span = 4 * max c1.Cache.size_bytes c2.Cache.size_bytes in
+      let stride =
+        frequency
+          [
+            (1, return 0);
+            (3, int_range 1 (2 * line_bytes));
+            (2, map (fun k -> k * c1.Cache.size_bytes / c1.Cache.ways) (int_range 1 3));
+            (1, int_bound span);
+          ]
+      in
+      map
+        (fun ops -> (c1, c2, ops))
+        (list_size (int_range 1 60)
+           (quad (int_bound span) stride (int_range 0 12)
+              (frequency [ (3, int_range 1 8); (1, int_range 1 200) ]))))
+  in
+  let print (c1, c2, ops) =
+    show_config c1 ^ " + " ^ show_config c2 ^ ": "
+    ^ String.concat "; "
+        (List.map
+           (fun (a, s, n, b) -> Printf.sprintf "%d+%d x%d stride %d" a b n s)
+           ops)
+  in
+  QCheck.Test.make ~name:"strided access = singles = stamp LRU"
+    ~count:300 (QCheck.make ~print gen) (fun (c1, c2, ops) ->
+      let hierarchy () =
+        Hierarchy.create
+          [
+            { Hierarchy.label = "L1"; cache = Cache.create c1; miss_penalty = 7.0 };
+            { Hierarchy.label = "L2"; cache = Cache.create c2; miss_penalty = 93.5 };
+          ]
+      in
+      let strided = hierarchy () and single = hierarchy () in
+      let o1 = Stamp_lru.create c1 and o2 = Stamp_lru.create c2 in
+      let penalty = ref 0.0 in
+      List.for_all
+        (fun (addr, stride, count, bytes) ->
+          Hierarchy.access_strided strided ~addr ~stride ~count ~bytes;
+          for i = 0 to count - 1 do
+            let addr = addr + (i * stride) in
+            Hierarchy.access single ~addr ~bytes;
+            List.iter
+              (fun addr ->
+                if not (Stamp_lru.access o1 ~addr) then begin
+                  penalty := !penalty +. 7.0;
+                  if not (Stamp_lru.access o2 ~addr) then penalty := !penalty +. 93.5
+                end)
+              (Stamp_lru.lines_of o1 ~addr ~bytes)
+          done;
+          let stats = Hierarchy.level_stats strided in
+          Hierarchy.penalty_cycles strided = !penalty
+          && Hierarchy.penalty_cycles single = !penalty
+          && stats = Hierarchy.level_stats single
+          && stats
+             = [
+                 ("L1", o1.Stamp_lru.accesses, o1.Stamp_lru.misses);
+                 ("L2", o2.Stamp_lru.accesses, o2.Stamp_lru.misses);
+               ]
+          && List.for_all2
+               (fun a b -> Cache.resident_lines a.Hierarchy.cache = Cache.resident_lines b.Hierarchy.cache)
+               (Hierarchy.levels strided) (Hierarchy.levels single))
+        ops)
+
 let test_hierarchy_mixed_line_sizes () =
   let level label line_bytes =
     {
@@ -372,6 +445,7 @@ let () =
           Alcotest.test_case "presets" `Quick test_presets;
           Alcotest.test_case "mixed line sizes" `Quick test_hierarchy_mixed_line_sizes;
           QCheck_alcotest.to_alcotest hierarchy_matches_stamp_lru;
+          QCheck_alcotest.to_alcotest strided_matches_singles;
         ] );
       ("machine", [ Alcotest.test_case "lookup and limits" `Quick test_machines ]);
       ("cost", [ Alcotest.test_case "cycle model" `Quick test_cost ]);

@@ -415,18 +415,42 @@ let test_vm_illegal_ops () =
     (Invalid_argument "Vm.masked_scatter: ISA sse4.2 has no masked scatter") (fun () ->
       Vm.masked_scatter vm2 ~width:16 ~active:4 ~lane_bytes:4 ~addr:0)
 
+(* A hook that logs each access a strided call stands for, newest first. *)
+let logging_hook log addr stride count bytes write =
+  for i = 0 to count - 1 do
+    log := (addr + (i * stride), bytes, write) :: !log
+  done
+
 let test_vm_memory_hook () =
   let log = ref [] in
-  let vm =
-    Vm.create ~on_access:(fun addr bytes write -> log := (addr, bytes, write) :: !log) Isa.sse42
-  in
+  let vm = Vm.create ~on_access:(logging_hook log) Isa.sse42 in
   Vm.vector_load vm ~addr:128 ~lanes:16 ~lane_bytes:1;
-  Vm.scalar_store vm ~addr:4096 ~bytes:4;
+  Vm.scalar_store vm ~addr:4096 ~stride:0 ~count:1 ~bytes:4;
   (match !log with
   | [ (4096, 4, true); (128, 16, false) ] -> ()
   | _ -> Alcotest.fail "unexpected access log");
   check_int "loads" 1 (Vm.stats vm).Stats.vector_loads;
   check_int "stores" 1 (Vm.stats vm).Stats.scalar_stores
+
+(* One strided load/store is the same accesses, in the same order, and
+   the same counters as [count] single ones. *)
+let test_vm_strided_equals_singles () =
+  let addr = 0x4000 and stride = 4096 and count = 10 and bytes = 4 in
+  let strided_log = ref [] and single_log = ref [] in
+  let strided = Vm.create ~on_access:(logging_hook strided_log) Isa.avx512 in
+  let single = Vm.create ~on_access:(logging_hook single_log) Isa.avx512 in
+  Vm.scalar_load strided ~addr ~stride ~count ~bytes;
+  Vm.scalar_store strided ~addr:(addr + 4) ~stride ~count ~bytes;
+  for i = 0 to count - 1 do
+    Vm.scalar_load single ~addr:(addr + (i * stride)) ~stride:0 ~count:1 ~bytes
+  done;
+  for i = 0 to count - 1 do
+    Vm.scalar_store single ~addr:(addr + 4 + (i * stride)) ~stride:0 ~count:1 ~bytes
+  done;
+  check_int "accesses" (2 * count) (List.length !strided_log);
+  check_bool "same access sequence" true (!strided_log = !single_log);
+  check_bool "same stats" true (Vm.stats strided = Vm.stats single);
+  check_int "scalar ops" (2 * count) (Vm.stats strided).Stats.scalar_ops
 
 let test_vm_gather_scatter_costs () =
   let vm = Vm.create Isa.sse42 in
@@ -441,10 +465,10 @@ let test_vm_gather_scatter_costs () =
 let test_vm_access_hook_swap () =
   let vm = Vm.create Isa.sse42 in
   let hits = ref 0 in
-  Vm.set_on_access vm (Some (fun _ _ _ -> incr hits));
-  Vm.scalar_load vm ~addr:0 ~bytes:4;
+  Vm.set_on_access vm (Some (fun _ _ _ _ _ -> incr hits));
+  Vm.scalar_load vm ~addr:0 ~stride:0 ~count:1 ~bytes:4;
   Vm.set_on_access vm None;
-  Vm.scalar_load vm ~addr:0 ~bytes:4;
+  Vm.scalar_load vm ~addr:0 ~stride:0 ~count:1 ~bytes:4;
   check_int "hook swapped" 1 !hits
 
 let test_stats_add_diff () =
@@ -508,6 +532,8 @@ let () =
           Alcotest.test_case "issue cycles" `Quick test_vm_cycles;
           Alcotest.test_case "illegal ops" `Quick test_vm_illegal_ops;
           Alcotest.test_case "memory hook" `Quick test_vm_memory_hook;
+          Alcotest.test_case "strided load/store = singles" `Quick
+            test_vm_strided_equals_singles;
           Alcotest.test_case "stats add/diff" `Quick test_stats_add_diff;
           Alcotest.test_case "gather/scatter costs" `Quick test_vm_gather_scatter_costs;
           Alcotest.test_case "access hook swap" `Quick test_vm_access_hook_swap;
